@@ -32,12 +32,11 @@ channel-check:
 	rm -f channel.trace
 
 # Quick throughput snapshot (BENCH_<n>.json + delta table vs the
-# previous one) and the overhead guarantees: disabled telemetry (<2%),
-# sweep journaling (<3%) and the store resilience layer (<2% of
-# hot-path wall time), all asserted.
+# previous one) and the overhead guarantees: disabled telemetry (<2%)
+# and sweep journaling (<3% of hot-path wall time), both asserted.
 bench: bench-compare
 	$(PYTHON) -m repro.cli bench --quick
-	$(PYTHON) -m pytest benchmarks/test_telemetry_overhead.py benchmarks/test_journal_overhead.py benchmarks/test_resilience_overhead.py -q -s
+	$(PYTHON) -m pytest benchmarks/test_telemetry_overhead.py benchmarks/test_journal_overhead.py -q -s
 
 # Scalar-vs-batch engine comparison: bit-identical counters (the
 # conformance half) and the advertised >=5x batch speedup floor on the
@@ -60,16 +59,14 @@ cache-stats:
 cache-audit:
 	$(PYTHON) -m repro.cli cache audit
 
-# Backend conformance + scrubber + resilience: the store suite across
-# local, memory, HTTP, multiplexed, and striped backends, the
-# byte-identical sweep transparency checks, the scrub/repair chaos
-# tests, and the self-healing layer (retry policy, circuit breakers,
-# hedged reads, the degraded-mode write spool).
+# The local artifact store: backend conformance (local + memory), the
+# audit, the result cache, resumable runs and the store guard, crash
+# hardening, the sweep journal, crash consistency, and the retry policy.
 store-check:
-	$(PYTHON) -m pytest tests/store/test_backends.py tests/store/test_scrub.py \
-		tests/store/test_backends_sweep.py tests/faults/test_remote_faults.py \
-		tests/store/test_resilience.py tests/store/test_spool.py \
-		tests/faults/test_resilience_chaos.py -q
+	$(PYTHON) -m pytest tests/store/test_backends.py tests/store/test_audit.py \
+		tests/store/test_cache.py tests/store/test_runner.py \
+		tests/store/test_hardening.py tests/store/test_journal.py \
+		tests/store/test_crash_consistency.py tests/store/test_resilience.py -q
 
 # Static analysis: the domain-aware reprolint rules always run (with
 # the incremental cache, so edit-lint loops stay fast); ruff and mypy

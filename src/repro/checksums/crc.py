@@ -27,7 +27,6 @@ The specific CRCs the paper relies on are provided as specs:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,9 +92,6 @@ CRC10_ATM = CRCSpec("crc10-atm", 10, 0x233, 0x000, False, False, 0x000)
 #: CRC-32C (Castagnoli): the post-paper polynomial chosen for its
 #: superior Hamming distance, used by SCTP and iSCSI.
 CRC32C = CRCSpec("crc32c", 32, 0x1EDC6F41, 0xFFFFFFFF, True, True, 0xFFFFFFFF)
-
-_UNSET = object()
-
 
 class CRCEngine:
     """Table-driven CRC computation over a :class:`CRCSpec`.
@@ -228,27 +224,14 @@ class CRCEngine:
         reg = self._feed_zero_bits(reg, pad)
         return self.finalize(reg).to_bytes(width_bytes, self._wire_order)
 
-    def verify(self, data, stored=_UNSET) -> bool:
+    def verify(self, data) -> bool:
         """True if ``data`` (trailing CRC bytes included) validates.
 
         Streams the whole frame and compares the register against the
         spec's residue constant -- the check a receiver that cannot see
         the frame boundary performs, and the one the splice engine
         models.
-
-        The pre-protocol two-argument shape ``verify(data, stored)``
-        still works but raises a :class:`DeprecationWarning`; compare
-        against :meth:`compute` directly instead.
         """
-        if stored is not _UNSET:
-            warnings.warn(
-                "CRCEngine.verify(data, stored) is deprecated; use "
-                "verify(data) on the framed message or compare "
-                "compute(data) == stored",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            return self.compute(data) == stored
         reg = self.process(self.register_init, data)
         if self._frame_residue is None:
             probe = b"\xa5\x5a\x00\xff checksum residue probe"

@@ -13,8 +13,6 @@ splice engine proper evaluates the codes the paper's packets carry.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from repro.checksums.batch import block_matrix, swap16
@@ -36,9 +34,6 @@ def _block_words(blocks) -> np.ndarray:
 
 _ADLER_MOD = 65521  # largest prime below 2^16
 
-_UNSET = object()
-
-
 class _SuffixCode:
     """Shared protocol plumbing for codes carried as a trailing field.
 
@@ -46,10 +41,6 @@ class _SuffixCode:
     derives ``field`` (big-endian serialization of the check value) and
     the unified single-argument ``verify`` -- true when the trailing
     ``width // 8`` bytes equal the field of everything before them.
-
-    The pre-protocol two-argument shape ``verify(data, stored)`` still
-    works but raises a :class:`DeprecationWarning`; compare against
-    ``compute(data)`` directly instead.
     """
 
     #: Provided by subclasses (declared here for the type checker).
@@ -63,17 +54,8 @@ class _SuffixCode:
         """Bytes to append to ``data`` so the framed whole verifies."""
         return self.compute(data).to_bytes(self.width // 8, "big")
 
-    def verify(self, data, stored=_UNSET) -> bool:
+    def verify(self, data) -> bool:
         """True if ``data`` (trailing check field included) validates."""
-        if stored is not _UNSET:
-            warnings.warn(
-                "%s.verify(data, stored) is deprecated; use "
-                "verify(data) on the framed message or compare "
-                "compute(data) == stored" % type(self).__name__,
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            return self.compute(data) == stored
         buf = bytes(data)
         n = self.width // 8
         if len(buf) < n:

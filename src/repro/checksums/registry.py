@@ -24,9 +24,7 @@ For every algorithm ``a`` and message ``m``, the framing identity
 ``a.verify(m + a.field(m))`` holds; this is what the artifact store's
 integrity trailers and the splice engine's verdict checks build on.
 
-Older call shapes (two-argument ``verify(data, stored)``, the ``bits``
-attribute) still work but the two-argument ``verify`` raises a
-``DeprecationWarning``; see each engine's docstring.
+The legacy ``bits`` attribute is still an alias of ``width``.
 
 Algorithms may additionally implement the optional *batch* tier
 (:class:`~repro.checksums.batch.BatchChecksumAlgorithm`:

@@ -43,11 +43,10 @@ KIND_TO_OP = {
     "erofs": "put",       # OSError(EROFS): filesystem went read-only
     "torn": "put",        # persist only a prefix of the frame
     "enoent": "delete",   # concurrent eviction won the race
-    # Remote-backend faults (a networked replica misbehaving):
+    # Transport faults: the read fails or is late; the bytes stay intact.
     "connreset": "get",   # connection reset mid-transfer
     "conntimeout": "get", # request exceeded its deadline
     "slowread": "get",    # the bytes arrive, but late (latency spike)
-    "stale": "get",       # replica serves an old (still-verifying) frame
 }
 
 #: Worker fault kinds the injector's shim understands.  The ``sigint``
@@ -253,21 +252,6 @@ NAMED_PLANS = {
         stall_seconds=1.5,
         shard_timeout=0.5,
     ),
-    # A remote replica misbehaving: resets, timeouts, latency spikes,
-    # stale serves.  Point it at one replica of a multiplexer and the
-    # sweep degrades to the healthy one, bit-identically.
-    "flaky-network": dict(
-        store_rates={"connreset": 0.20, "conntimeout": 0.10,
-                     "slowread": 0.15, "stale": 0.05},
-        slow_seconds=0.02,
-    ),
-    # A replica goes completely dark: every read and write errors.
-    # Point it at all replicas of a resilient multiplexer to force the
-    # breakers open and exercise the degraded-mode write spool.
-    "replica-outage": dict(
-        store_rates={"eio": 1.0, "erofs": 1.0},
-        max_faults=1_000_000,
-    ),
     # Burst-noisy link plus slow store reads: the channel regime where
     # clustered bit errors stress the checksums while the store limps.
     "bursty-link": dict(
@@ -275,7 +259,7 @@ NAMED_PLANS = {
         slow_seconds=0.01,
         channel="bursty-link",
     ),
-    # Cells arrive jittered, held back, duplicated; remote reads time
+    # Cells arrive jittered, held back, duplicated; store reads time
     # out now and then.
     "reordering-link": dict(
         store_rates={"conntimeout": 0.05},

@@ -254,8 +254,8 @@ class VerifiedReadRule(Rule):
                     yield self.finding(
                         module, func,
                         "%s.%s() returns stored bytes without verifying "
-                        "the integrity trailer: call unframe_object/"
-                        "verify_frame (or delegate to a get method that "
+                        "the integrity trailer: call unframe_object "
+                        "(or delegate to a get method that "
                         "does), or mark the method frame-level by naming "
                         "it *_frame" % (class_def.name, func.name),
                     )

@@ -1,15 +1,12 @@
 """repro.store: content-addressed artifact store for experiment runs.
 
-The persistence layer behind cached and resumable experiments:
+The persistence layer behind cached and resumable experiments, rooted
+at ``--cache-dir`` / ``$REPRO_CHECKSUMS_CACHE`` on local disk:
 
 * :mod:`repro.store.framing` -- the integrity-trailed frame format
-  every backend stores and transmits (CRC-32/AAL5 by default);
-* :mod:`repro.store.backends` -- pluggable frame backends (pathsliced
-  local directory, in-memory, HTTP remote) and their compositions
-  (resilient multiplexer, striping, read-only filter);
-* :mod:`repro.store.api` -- the ``repro-store/1`` HTTP server/client
-  pair serving a backend over the network, trailers verified on both
-  ends of both transfers;
+  every stored object carries (CRC-32/AAL5 by default);
+* :mod:`repro.store.backends` -- where frames live: the pathsliced
+  local directory, and an in-memory dict for tests;
 * :mod:`repro.store.objstore` -- the framing layer over a backend:
   content-addressed payload storage with self-checking objects;
 * :mod:`repro.store.keys` -- canonical cache keys over experiment
@@ -18,22 +15,17 @@ The persistence layer behind cached and resumable experiments:
   corrupt-evict-recompute);
 * :mod:`repro.store.manifest` / :mod:`repro.store.runner` -- resumable
   sharded splice runs checkpointed per file;
-* :mod:`repro.store.audit` -- re-verify every stored object;
-* :mod:`repro.store.scrub` -- walk a backend re-verifying trailers,
-  quarantining corrupt objects and repairing them from healthy
-  replicas.
+* :mod:`repro.store.journal` -- the per-sweep checkpoint journal behind
+  ``--resume``;
+* :mod:`repro.store.audit` -- re-verify every stored object, optionally
+  evicting the corrupt ones.
 
 Corruption is always survivable: a failed trailer evicts the entry and
 the caller recomputes — the cache can cost time, never correctness.
 """
 
 from repro.store.audit import AuditReport, audit_run_store
-from repro.store.backends import (
-    Backend,
-    BackendCounters,
-    open_backend,
-    open_store_url,
-)
+from repro.store.backends import Backend, BackendCounters
 from repro.store.cache import ResultCache
 from repro.store.keys import SCHEMA_VERSION, experiment_key, shard_key
 from repro.store.manifest import ManifestStore, RunManifest
@@ -44,7 +36,6 @@ from repro.store.objstore import (
     default_root,
 )
 from repro.store.runner import RunStore, run_sharded_splice
-from repro.store.scrub import ScrubReport, scrub_backend, scrub_run_store
 
 __all__ = [
     "AuditReport",
@@ -58,14 +49,9 @@ __all__ = [
     "RunManifest",
     "RunStore",
     "SCHEMA_VERSION",
-    "ScrubReport",
     "audit_run_store",
     "default_root",
     "experiment_key",
-    "open_backend",
-    "open_store_url",
     "run_sharded_splice",
-    "scrub_backend",
-    "scrub_run_store",
     "shard_key",
 ]

@@ -1,46 +1,14 @@
 """In-memory backend: dict-of-frames, for tests and scratch runs.
 
-``memory://`` URLs resolve here.  A *named* region
-(``memory://shared``) maps to a process-wide registry, so two
-``open_backend`` calls with the same name share storage — the cheap
-way to build multi-replica multiplexers and scrub fixtures without
-touching the filesystem.  ``memory://`` with no name is always a
-fresh, private region.
+Each :class:`MemoryBackend` built directly owns a fresh, private
+region; the namespaces ``sub()`` derives from it share that region.
 """
 
 from __future__ import annotations
 
 from repro.store.backends.base import Backend
 
-__all__ = ["MemoryBackend", "named_region", "reset_regions"]
-
-
-class _Region:
-    """Shared storage: ``namespace -> {key -> frame}``."""
-
-    def __init__(self, name=""):
-        self.name = name
-        self.spaces = {}
-
-    def space(self, namespace):
-        return self.spaces.setdefault(namespace, {})
-
-
-#: Process-wide named regions (``memory://<name>``).
-_REGIONS = {}
-
-
-def named_region(name):
-    """The process-wide region ``name`` (created on first use)."""
-    region = _REGIONS.get(name)
-    if region is None:
-        region = _REGIONS[name] = _Region(name)
-    return region
-
-
-def reset_regions():
-    """Drop every named region (test isolation)."""
-    _REGIONS.clear()
+__all__ = ["MemoryBackend"]
 
 
 class MemoryBackend(Backend):
@@ -50,13 +18,13 @@ class MemoryBackend(Backend):
 
     def __init__(self, region=None, namespace="default"):
         super().__init__()
-        self._region = region if region is not None else _Region()
+        #: ``namespace -> {key -> frame}``, shared by every sub().
+        self._region = region if region is not None else {}
         self.namespace = namespace
-        self._frames = self._region.space(namespace)
+        self._frames = self._region.setdefault(namespace, {})
 
     def describe(self):
-        label = self._region.name or "<anonymous>"
-        return "memory://%s/%s" % (label, self.namespace)
+        return "memory://%s" % self.namespace
 
     def sub(self, namespace):
         return MemoryBackend(self._region, namespace)

@@ -1,7 +1,7 @@
-"""Integrity-trailed object frames: the store's wire and disk format.
+"""Integrity-trailed object frames: the store's disk format.
 
-Every object the store subsystem persists or transmits — locally, in
-memory, or over the HTTP remote protocol — travels as a *frame*:
+Every object the store subsystem persists — on disk or in memory — is
+a *frame*:
 ``payload || value || name || name_len(1) || value_len(1) || magic(4)``
 where ``value`` is the check value of one of the paper's own check
 codes (CRC-32/AAL5 unless the caller picks another).  The trailer
@@ -24,7 +24,6 @@ __all__ = [
     "IntegrityError",
     "frame_object",
     "unframe_object",
-    "verify_frame",
 ]
 
 #: The integrity-trailer algorithm used unless the caller picks another.
@@ -87,13 +86,3 @@ def unframe_object(blob, verify=True):
                 % (algorithm_name, value.hex(), expected.hex())
             )
     return payload, algorithm_name
-
-
-def verify_frame(frame):
-    """Verify ``frame``'s trailer and return its payload.
-
-    The one-call form every read path uses at its verification
-    boundary (reprolint REP403 checks the boundaries statically).
-    """
-    payload, _ = unframe_object(frame, verify=True)
-    return payload

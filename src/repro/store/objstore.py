@@ -11,9 +11,8 @@ it turns payloads into integrity-trailed frames (and back, verifying)
 and delegates frame storage to a
 :class:`~repro.store.backends.base.Backend` — the pathsliced local
 directory by default (``root/ab/cd/abcd...``, atomic fsync-disciplined
-writes, exactly the original on-disk layout), or any backend from
-:func:`repro.store.backends.open_backend`: in-memory, HTTP remote, a
-resilient multiplexer over replicas, a striped fan-out.
+writes, exactly the original on-disk layout), or the in-memory
+backend the tests substitute for it.
 
 Addresses are either the SHA-256 of the payload (:meth:`ObjectStore.put`
 — true content addressing) or a caller-chosen hex key
@@ -45,7 +44,6 @@ from repro.store.framing import (  # noqa: F401 - re-exports
     IntegrityError,
     frame_object,
     unframe_object,
-    verify_frame,
 )
 from repro.telemetry.core import current as _telemetry
 
@@ -152,7 +150,7 @@ class ObjectStore:
     def get_frame(self, digest):
         """The raw stored frame (trailer included); ``KeyError`` if absent.
 
-        For integrity tooling (audit, scrub) that needs the trailer
+        For integrity tooling (the audit) that needs the trailer
         bytes themselves; payload readers use :meth:`get`.
         """
         return self.backend.get_frame(digest)

@@ -24,8 +24,7 @@ store demotes the run to store-less computation with a single
 warning, and every intervention lands in the run's
 :class:`RunHealth` record.  A full disk or a read-only cache can
 therefore never abort a sweep — it only costs the resumability of
-that one run.  Writes spooled during a remote-store outage are
-replayed opportunistically at end-of-sweep.
+that one run.
 
 ``run_splice_experiment(..., store=RunStore(...))`` routes through
 :func:`run_sharded_splice`; results are bit-identical to the direct
@@ -69,17 +68,14 @@ class RunStore:
     cache audit`` can verify the whole tree uniformly.
     """
 
-    def __init__(self, root=None, algorithm=DEFAULT_ALGORITHM, backend=None):
-        if backend is None:
-            root = Path(root) if root is not None else default_root()
-            backend = LocalBackend(root)
-        self.backend = backend
-        #: Filesystem root when local-backed, else None (use describe()).
-        self.root = getattr(backend, "root", None)
+    def __init__(self, root=None, algorithm=DEFAULT_ALGORITHM):
+        self.root = Path(root) if root is not None else default_root()
+        self.backend = LocalBackend(self.root)
         self.algorithm = algorithm
 
         def namespace(name):
-            return ObjectStore(algorithm=algorithm, backend=backend.sub(name))
+            return ObjectStore(algorithm=algorithm,
+                               backend=self.backend.sub(name))
 
         self.objects = namespace("objects")
         self.results = ResultCache(namespace("results"))
@@ -89,13 +85,6 @@ class RunStore:
     def describe(self):
         """Human-readable identity of the backing store."""
         return self.backend.describe()
-
-    def attach_health(self, health):
-        """Route backend degradation warnings into a run's health record."""
-        for _, store in self.namespaces:
-            backend = store.backend
-            if hasattr(backend, "attach_health"):
-                backend.attach_health(health)
 
     @property
     def namespaces(self):
@@ -109,8 +98,7 @@ class RunStore:
 
     def stats(self):
         """Per-namespace object counts and byte totals."""
-        out = {"root": str(self.root) if self.root is not None
-                       else self.describe()}
+        out = {"root": str(self.root)}
         for name, store in self.namespaces:
             out[name] = store.stats()
         return out
@@ -126,47 +114,16 @@ class RunStore:
         out = {}
         for name, store in self.namespaces:
             backend = store.backend
-            entry = {
+            out[name] = {
                 "kind": backend.kind,
                 "backend": backend.describe(),
                 "counters": backend.counters.as_dict(),
             }
-            children = getattr(backend, "children", ())
-            if children:
-                entry["children"] = [
-                    {
-                        "kind": child.kind,
-                        "backend": child.describe(),
-                        "counters": child.counters.as_dict(),
-                    }
-                    for child in children
-                ]
-            out[name] = entry
         return out
 
     def clear(self):
         """Delete every stored object across all namespaces."""
         return sum(store.clear() for _, store in self.namespaces)
-
-    def resilience_stats(self):
-        """Breaker/spool snapshot, or None for non-resilient backends."""
-        stats = getattr(self.backend, "resilience_stats", None)
-        if stats is None:
-            return None
-        return stats()
-
-    def drain_spool(self):
-        """Replay degraded-mode spooled writes; None without a spool."""
-        drain = getattr(self.backend, "drain_spool", None)
-        if drain is None:
-            return None
-        return drain()
-
-    def close(self):
-        """Release backend resources (HTTP connections); idempotent."""
-        self.backend.close()
-        for _, store in self.namespaces:
-            store.backend.close()
 
 
 def run_key_for(filesystem_name, shard_keys):
@@ -200,10 +157,6 @@ class _StoreGuard:
             retry_policy if retry_policy is not None
             else RetryPolicy("guard", max_attempts=2, base_delay=0.0)
         )
-        if self.active and hasattr(store, "attach_health"):
-            # Resilient multiplexer backends report replica failures
-            # into the same health record as the ladder itself.
-            store.attach_health(health)
 
     def _count_error(self, exc):
         self.health.store_errors += 1
@@ -261,15 +214,6 @@ class _StoreGuard:
         self._attempt(
             "shard write", lambda: self.store.shards.put_object(key, counters)
         )
-
-    def drain_spool(self):
-        """Opportunistic end-of-sweep replay of degraded-mode writes."""
-        if not self.active:
-            return None
-        drain = getattr(self.store, "drain_spool", None)
-        if drain is None:
-            return None
-        return self._attempt("spool drain", drain)
 
 
 def run_sharded_splice(
@@ -406,11 +350,6 @@ def run_sharded_splice(
         guard.save_manifest(manifest)
     if journal is not None and not stopped:
         journal.complete()  # a journal on disk always means "interrupted"
-    if not stopped:
-        # A replica may have healed since the outage that spooled the
-        # writes; replay them now so the sweep ends with a complete
-        # remote cache (no-op without a spool, or when it is empty).
-        guard.drain_spool()
 
     merged = SpliceCounters()
     for key in shard_keys:

@@ -64,8 +64,8 @@ class TestKnownValues:
 
     def test_verify(self):
         engine = CRCEngine(CRC16_CCITT)
-        assert engine.verify(CHECK_INPUT, 0x29B1)
-        assert not engine.verify(CHECK_INPUT, 0x29B2)
+        assert engine.verify(CHECK_INPUT + (0x29B1).to_bytes(2, "big"))
+        assert not engine.verify(CHECK_INPUT + (0x29B2).to_bytes(2, "big"))
 
 
 class TestRegisterAPI:

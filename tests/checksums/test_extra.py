@@ -28,8 +28,8 @@ class TestAdler32:
     def test_object_api(self):
         algorithm = Adler32()
         assert algorithm.compute(b"abc") == zlib.adler32(b"abc")
-        assert algorithm.verify(b"abc", zlib.adler32(b"abc"))
-        assert not algorithm.verify(b"abc", 0)
+        assert algorithm.verify(b"abc" + zlib.adler32(b"abc").to_bytes(4, "big"))
+        assert not algorithm.verify(b"abc" + bytes(4))
         assert algorithm.bits == 32
 
 
@@ -89,7 +89,8 @@ class TestXor16:
 
     def test_object_api(self):
         algorithm = Xor16()
-        assert algorithm.verify(b"\xab\xcd", 0xABCD)
+        assert algorithm.compute(b"\xab\xcd") == 0xABCD
+        assert algorithm.verify(b"\xab\xcd" + (0xABCD).to_bytes(2, "big"))
         assert algorithm.bits == 16
 
 

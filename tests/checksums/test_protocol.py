@@ -97,27 +97,6 @@ class TestCRCResidueSemantics:
 
 
 class TestDeprecationShims:
-    def test_two_arg_crc_verify_warns_but_works(self):
-        engine = get_algorithm("crc16-ccitt")
-        with pytest.warns(DeprecationWarning):
-            assert engine.verify(b"123456789", 0x29B1)
-        with pytest.warns(DeprecationWarning):
-            assert not engine.verify(b"123456789", 0x29B2)
-
-    def test_two_arg_suffix_verify_warns_but_works(self):
-        import zlib
-
-        adler = get_algorithm("adler32")
-        with pytest.warns(DeprecationWarning):
-            assert adler.verify(b"abc", zlib.adler32(b"abc"))
-        with pytest.warns(DeprecationWarning):
-            assert not adler.verify(b"abc", 0)
-
-    def test_two_arg_xor16_verify_warns_but_works(self):
-        xor = get_algorithm("xor16")
-        with pytest.warns(DeprecationWarning):
-            assert xor.verify(b"\xab\xcd", 0xABCD)
-
     def test_single_arg_verify_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)

@@ -116,3 +116,35 @@ class TestResume:
 
         again = run_splice_experiment(fs, store=RunStore())
         assert again.counters == complete.counters
+
+
+class TestStoreGuard:
+    """The degradation ladder on a failing local store: retry, then
+    demote the run to store-less with one warning, counters intact."""
+
+    def test_failing_store_is_retried_then_demoted(self, cache_root):
+        import warnings
+
+        from repro.core.supervisor import RunHealth
+        from repro.faults.injector import wrap_run_store
+        from repro.faults.plan import FaultPlan
+        from repro.telemetry.core import collect
+
+        fs = small_fs()
+        direct = run_splice_experiment(fs)
+        plan = FaultPlan(0, store_rates={"eio": 1.0, "enospc": 1.0},
+                         max_faults=1_000_000)
+        health = RunHealth()
+        store = wrap_run_store(RunStore(), plan, health)
+        with collect() as telemetry, warnings.catch_warnings(record=True) \
+                as caught:
+            warnings.simplefilter("always")
+            result = run_splice_experiment(fs, store=store, health=health)
+        assert result.counters == direct.counters
+        counters = telemetry.snapshot()["counters"]
+        assert counters["resilience.guard.retries"] > 0
+        assert health.storeless
+        assert health.store_errors >= 6  # _StoreGuard.DEMOTE_AFTER
+        demotions = [w for w in caught
+                     if "continuing without persistence" in str(w.message)]
+        assert len(demotions) == 1

@@ -45,6 +45,25 @@ class TestParser:
         proc = subprocess.run([sys.executable, "-c", code])
         assert proc.returncode == 0
 
+    def test_store_paths_import_no_network_stack(self):
+        # The artifact store is local-only: neither the CLI nor the
+        # store runner/journal may drag in an HTTP client.  A fresh
+        # interpreter, because pytest itself may have imported
+        # http.client already.
+        import subprocess
+        import sys
+
+        code = (
+            "import sys; import repro.cli, repro.store, "
+            "repro.store.runner, repro.store.journal; "
+            "hot = sorted(m for m in sys.modules "
+            "if m == 'http.client' or m.startswith('repro.store.api')); "
+            "print(hot); sys.exit(1 if hot else 0)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+
 
 class TestCommands:
     def test_algorithms(self, capsys):
@@ -160,20 +179,6 @@ class TestCacheCommands:
         assert args.cache is False
         args = build_parser().parse_args(["run", "table1"])
         assert args.cache is False
-
-    def test_store_url_specs_parse(self):
-        parser = build_parser()
-        for spec in ("/tmp/cache", "file:///tmp/cache", "memory://shared",
-                     "http://localhost:8970", "a,b", "stripe:a,b",
-                     "readonly+/shared/ref,http://localhost:8970"):
-            args = parser.parse_args(["run", "table1", "--store-url", spec])
-            assert args.store_url == spec
-
-    def test_store_url_rejects_bad_specs_at_parse_time(self):
-        parser = build_parser()
-        for spec in ("ftp://nope", "a,,b", "stripe:", "a,gopher://x"):
-            with pytest.raises(SystemExit):
-                parser.parse_args(["run", "table1", "--store-url", spec])
 
     def test_run_cached_twice_is_byte_identical(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "store")
