@@ -38,11 +38,11 @@ bench: bench-compare
 	$(PYTHON) -m repro.cli bench --quick
 	$(PYTHON) -m pytest benchmarks/test_telemetry_overhead.py benchmarks/test_journal_overhead.py -q -s
 
-# Scalar-vs-batch engine comparison: bit-identical counters (the
-# conformance half) and the advertised >=5x batch speedup floor on the
-# bench smoke corpus (the performance half), both asserted.
+# Scalar-vs-batch comparisons: bit-identical counters and the >=5x
+# batch splice-engine floor on the bench smoke corpus, then identical
+# frames and the >=5x batched-sender framing floor on a 200 KB corpus.
 bench-compare:
-	$(PYTHON) -m pytest benchmarks/test_engine_kinds.py -q -s
+	$(PYTHON) -m pytest benchmarks/test_engine_kinds.py benchmarks/test_sender_batch.py -q -s
 
 # The full pytest-benchmark suite (regenerates every table & figure).
 microbench:

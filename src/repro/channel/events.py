@@ -5,8 +5,10 @@ simulated link -- cell arrivals, retransmission timers, control
 messages -- by ``(time, seq)``, where ``seq`` is a monotonic insertion
 counter.  The tie-break matters: two events scheduled for the same
 tick pop in the order they were scheduled, on every run, at every
-worker count.  Python's ``heapq`` never compares payloads because the
-``(time, seq)`` prefix is always unique.
+worker count.  An :class:`Event` is itself a ``(time, seq, kind,
+payload)`` tuple, so heap comparisons run in C, and because the
+``(time, seq)`` prefix is always unique they never reach the kind or
+the payload.
 
 Time is a simulated float tick counter owned by the consumer; nothing
 here (or anywhere in :mod:`repro.channel`) reads a wall clock --
@@ -16,19 +18,18 @@ reprolint REP102's discipline, extended to the channel layer.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 __all__ = ["Event", "EventQueue"]
 
 
-@dataclass(frozen=True, order=True)
-class Event:
+class Event(NamedTuple):
     """One scheduled occurrence: when, what, and its payload."""
 
     time: float
     seq: int
-    kind: str = field(compare=False)
-    payload: tuple = field(compare=False, default=())
+    kind: str
+    payload: tuple = ()
 
 
 class EventQueue:

@@ -112,11 +112,14 @@ class LintConfig:
 
     # -- batch hot path (REP304) ---------------------------------------
 
-    #: Modules on the splice hot path: per-item work there must route
-    #: through the batch kernels (``repro.core.batch``,
-    #: ``compute_many``), not per-cell Python loops.
+    #: Modules on the splice hot path and the sender that feeds it:
+    #: per-item work there must route through the batch kernels
+    #: (``repro.core.batch``, ``compute_many``, ``build_aal5_frames``),
+    #: not per-cell or per-packet Python loops.
     batch_hot_modules: tuple = field(default_factory=lambda: _tuple(
         "repro.core.engine", "repro.core.fragsplice",
+        "repro.protocols.ftpsim", "repro.protocols.packetizer",
+        "repro.protocols.aal5",
     ))
 
     #: Callee names (last dotted segment, leading underscores ignored)
@@ -125,7 +128,7 @@ class LintConfig:
         "compute", "verify", "process", "step",
         "judge_splice", "judge_splice_cells",
         "word_sums", "fletcher8", "internet_checksum",
-        "ones_complement_sum",
+        "ones_complement_sum", "build_aal5_frame", "build_packet",
     ))
 
     # -- crash consistency (REP401/REP402) -----------------------------

@@ -2,10 +2,11 @@
 
 The batch compute tier moved the splice hot path onto table-driven
 CRC folds and numpy kernels (``repro.core.batch``,
-``ChecksumAlgorithm.compute_many``); an innocent-looking per-cell
-Python loop calling a scalar kernel silently undoes that 10-100x win
-on a path no benchmark may happen to cover.  This rule pins the hot
-modules to the batch tier statically.
+``ChecksumAlgorithm.compute_many``), and the sender onto one matrix
+pass per file (``Packetizer.packetize``, ``build_aal5_frames``); an
+innocent-looking per-cell or per-packet Python loop calling a scalar
+kernel silently undoes that win on a path no benchmark may happen to
+cover.  This rule pins the hot modules to the batch tier statically.
 """
 
 from __future__ import annotations
@@ -26,12 +27,13 @@ class ScalarHotLoopRule(Rule):
     severity = "error"
     category = "performance"
     invariant = (
-        "Batch-hot modules (repro.core.engine, repro.core.fragsplice) "
-        "never call a byte-at-a-time checksum kernel (compute, verify, "
-        "word_sums, fletcher8, judge_splice*, ...) from inside a "
-        "for/while loop -- per-item work there routes through the "
-        "vectorized kernels of repro.core.batch; the deliberate "
-        "scalar conformance path is annotated in place."
+        "Batch-hot modules (repro.core.engine, repro.core.fragsplice "
+        "and the sender: repro.protocols.ftpsim, .packetizer, .aal5) "
+        "never call a byte-at-a-time kernel (compute, verify, "
+        "word_sums, fletcher8, judge_splice*, build_aal5_frame, "
+        "build_packet, ...) from inside a for/while loop -- per-item "
+        "work there routes through the vectorized kernels; the "
+        "deliberate scalar conformance path is annotated in place."
     )
 
     def check(self, module, ctx):

@@ -8,14 +8,17 @@ cells), and the splice experiment walks every adjacent pair.
 
 Sequence numbers and IP IDs run continuously across the packets of one
 file and restart for the next, mirroring one FTP data connection per
-file.
+file.  Both halves work on the whole file at once: the packetizer
+builds every packet of a file in one matrix pass and
+:func:`~repro.protocols.aal5.build_aal5_frames` frames them all with one
+CRC pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.protocols.aal5 import build_aal5_frame
+from repro.protocols.aal5 import build_aal5_frames
 from repro.protocols.packetizer import Packetizer
 
 __all__ = ["FileTransferSimulator", "TransferUnit"]
@@ -45,11 +48,12 @@ class FileTransferSimulator:
 
     def transfer(self, data):
         """Transfer one file; returns its :class:`TransferUnit` list."""
-        units = []
-        for packet in self.packetizer.packetize(data):
-            frame = build_aal5_frame(packet.ip_packet)
-            units.append(TransferUnit(packet=packet, frame=frame))
-        return units
+        packets = self.packetizer.packetize(data)
+        frames = build_aal5_frames([packet.ip_packet for packet in packets])
+        return [
+            TransferUnit(packet=packet, frame=frame)
+            for packet, frame in zip(packets, frames)
+        ]
 
     def adjacent_pairs(self, data):
         """Yield ``(unit, next_unit)`` for each adjacent packet pair."""

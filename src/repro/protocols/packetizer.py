@@ -30,8 +30,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 
-from repro.checksums.fletcher import Fletcher8
-from repro.checksums.internet import word_sums
+import numpy as np
+
+from repro.checksums.batch import swap16
+from repro.checksums.internet import fold_carries
 from repro.protocols.ip import IP_HEADER_LEN, build_ipv4_header
 from repro.protocols.tcp import (
     FLAG_ACK,
@@ -39,10 +41,17 @@ from repro.protocols.tcp import (
     TCP_HEADER_LEN,
     build_tcp_header,
     pseudo_header_word_sum,
-    solve_sum_to_target,
 )
 
 __all__ = ["ChecksumPlacement", "Packetizer", "PacketizerConfig", "TCPPacket"]
+
+#: Byte columns of the per-packet fields in a packet row: the IP total
+#: length, ID and header checksum, the TCP sequence number, the data.
+_TOTAL_LENGTH = 2
+_IDENT = 4
+_IP_CHECKSUM = 10
+_SEQ = IP_HEADER_LEN + 4
+_DATA = IP_HEADER_LEN + TCP_HEADER_LEN
 
 
 class ChecksumPlacement(enum.Enum):
@@ -110,95 +119,157 @@ class TCPPacket:
 
 
 class Packetizer:
-    """Builds the packet stream for one simulated file transfer."""
+    """Builds the packet stream for one simulated file transfer.
+
+    A file's packets are built together in one ``(packets x bytes)``
+    matrix: a shared header template, the sequence-number, IP-ID and
+    length columns, then the IP header checksum and the transport check
+    value computed column-wise for every packet at once.
+    """
 
     def __init__(self, config=None):
-        self.config = config or PacketizerConfig()
-        if self.config.algorithm.startswith("fletcher"):
-            self._fletcher = Fletcher8(int(self.config.algorithm[-3:]))
-        else:
-            self._fletcher = None
+        self.config = config = config or PacketizerConfig()
+        fill = config.fill_ip_header
+        # Every header field that is the same in each packet; total
+        # length, IP ID, sequence number and checksums are columns.
+        self._template = np.frombuffer(
+            build_ipv4_header(
+                total_length=0,
+                ident=0,
+                src=config.src,
+                dst=config.dst,
+                tos=0,
+                ttl=64 if fill else 0,
+                flags_fragment=0x4000 if fill else 0,
+                fill_checksum=False,
+            )
+            + build_tcp_header(
+                config.sport,
+                config.dport,
+                0,
+                ack=1,
+                flags=FLAG_ACK,
+                window=config.window,
+            ),
+            dtype=np.uint8,
+        )
 
     def packetize(self, data, initial_seq=None, initial_ipid=None):
         """Segment ``data`` into packets, one per MSS-sized chunk."""
         config = self.config
+        mss = config.mss
         data = bytes(data)
         seq = config.initial_seq if initial_seq is None else initial_seq
         ipid = config.initial_ipid if initial_ipid is None else initial_ipid
-        packets = []
-        for start in range(0, len(data), config.mss):
-            chunk = data[start : start + config.mss]
-            packets.append(self.build_packet(chunk, seq, ipid))
-            seq = (seq + len(chunk)) & 0xFFFFFFFF
-            ipid = (ipid + 1) & 0xFFFF
-        return packets
-
-    def build_packet(self, chunk, seq, ipid):
-        """Build one IP packet carrying ``chunk``."""
-        config = self.config
+        count = -(-len(data) // mss)
+        if not count:
+            return []
+        index = np.arange(count, dtype=np.int64)
+        chunk_lens = np.minimum(len(data) - index * mss, mss)
         trailer = config.placement is ChecksumPlacement.TRAILER
-        wire_payload = chunk + bytes(2) if trailer else chunk
-        tcp_len = TCP_HEADER_LEN + len(wire_payload)
-
-        header = build_tcp_header(
-            config.sport,
-            config.dport,
-            seq,
-            ack=1,
-            flags=FLAG_ACK,
-            window=config.window,
-        )
-        segment = bytearray(header + wire_payload)
-        ip_header = build_ipv4_header(
-            total_length=IP_HEADER_LEN + tcp_len,
-            ident=ipid if config.fill_ip_header else 0,
-            src=config.src,
-            dst=config.dst,
-            tos=0,
-            ttl=64 if config.fill_ip_header else 0,
-            flags_fragment=0x4000 if config.fill_ip_header else 0,
-            fill_checksum=config.fill_ip_header,
-        )
+        tcp_lens = TCP_HEADER_LEN + chunk_lens + (2 if trailer else 0)
+        totals = IP_HEADER_LEN + tcp_lens
+        # Rows are left-aligned and zero-padded to an even width; zero
+        # bytes past a packet's end add nothing to its sums.
+        width = int(totals[0]) + int(totals[0]) % 2
+        rows = np.zeros((count, width), dtype=np.uint8)
+        rows[:, :_DATA] = self._template
+        widest = int(chunk_lens[0])
+        padded = np.zeros(count * widest, dtype=np.uint8)
+        padded[: len(data)] = np.frombuffer(data, dtype=np.uint8)
+        rows[:, _DATA : _DATA + widest] = padded.reshape(count, widest)
+        seqs = ((seq & 0xFFFFFFFF) + index * mss) & 0xFFFFFFFF
+        ipids = ((ipid & 0xFFFF) + index) & 0xFFFF
+        rows[:, _TOTAL_LENGTH : _TOTAL_LENGTH + 2] = _big_endian(totals, 2)
+        rows[:, _SEQ : _SEQ + 4] = _big_endian(seqs, 4)
         if config.fill_ip_header:
-            self._fill_check_value(segment, tcp_len)
+            rows[:, _IDENT : _IDENT + 2] = _big_endian(ipids, 2)
+            header_sums = _word_sums(rows[:, :IP_HEADER_LEN])
+            checksum = fold_carries(header_sums) ^ 0xFFFF
+            rows[:, _IP_CHECKSUM : _IP_CHECKSUM + 2] = _big_endian(checksum, 2)
+            self._fill_check_values(rows, tcp_lens)
         else:
             # Legacy (Section 6.2) coverage: the whole IP packet, no
             # pseudo-header -- an intact packet sums to 0xFFFF from
             # byte 0, making its header cell zero-congruent whenever
             # the payload is zero-congruent.
-            total = word_sums(ip_header) + word_sums(segment)
             offset = IP_HEADER_LEN + TCP_CHECKSUM_OFFSET
-            value = solve_sum_to_target(total, offset)
-            segment[TCP_CHECKSUM_OFFSET : TCP_CHECKSUM_OFFSET + 2] = value.to_bytes(
-                2, "big"
+            value = _solve_sums(_word_sums(rows), offset)
+            rows[:, offset : offset + 2] = _big_endian(value, 2)
+        blob = rows.tobytes()
+        seqs = seqs.tolist()
+        ipids = ipids.tolist()
+        # The first packet records the initial values as given; the
+        # headers and every later packet carry them wrapped.
+        seqs[0], ipids[0] = seq, ipid
+        return [
+            TCPPacket(
+                ip_packet=blob[row : row + total],
+                payload=data[start : start + mss],
+                seq=packet_seq,
+                ipid=packet_ipid,
+                config=config,
             )
-        return TCPPacket(
-            ip_packet=ip_header + bytes(segment),
-            payload=chunk,
-            seq=seq,
-            ipid=ipid,
-            config=config,
-        )
+            for start, row, total, packet_seq, packet_ipid in zip(
+                range(0, len(data), mss),
+                range(0, count * width, width),
+                totals.tolist(),
+                seqs,
+                ipids,
+            )
+        ]
 
-    def _fill_check_value(self, segment, tcp_len):
-        """Compute and embed the transport check value in ``segment``."""
+    def _fill_check_values(self, rows, tcp_lens):
+        """Compute and embed each row's transport check value."""
         config = self.config
         if config.algorithm == "none":
             return
         trailer = config.placement is ChecksumPlacement.TRAILER
-        offset = tcp_len - 2 if trailer else TCP_CHECKSUM_OFFSET
-
+        # Field offsets within each TCP segment (header + data).
+        offsets = tcp_lens - 2 if trailer else TCP_CHECKSUM_OFFSET
+        segments = rows[:, IP_HEADER_LEN:]
         if config.algorithm == "tcp":
-            total = pseudo_header_word_sum(config.src, config.dst, tcp_len)
-            total += word_sums(segment)
-            value = solve_sum_to_target(total, offset)
+            total = pseudo_header_word_sum(config.src, config.dst, 0) + tcp_lens
+            total = total + _word_sums(segments)
+            value = _solve_sums(total, offsets)
             if not config.invert and not trailer:
                 # Section 6.3 ablation: store the sum itself rather than
                 # its complement.  The verifier must then compare the
                 # recomputed sum against the stored field.
                 value ^= 0xFFFF
-            segment[offset : offset + 2] = value.to_bytes(2, "big")
+            first, second = value >> 8, value & 0xFF
         else:
-            x, y = self._fletcher.check_bytes(segment, offset)
-            segment[offset] = x
-            segment[offset + 1] = y
+            # Fletcher sums weight byte j of an n-byte segment by n - j.
+            modulus = int(config.algorithm[-3:])
+            data = segments.astype(np.int64)
+            plain = data.sum(axis=1)
+            weighted = data @ np.arange(data.shape[1], dtype=np.int64)
+            a = plain % modulus
+            b = (tcp_lens * plain - weighted) % modulus
+            distance = tcp_lens - (offsets + 2)
+            first = ((distance + 1) * a - b) % modulus
+            second = (-a - first) % modulus
+        packets = np.arange(len(rows))
+        segments[packets, offsets] = first
+        segments[packets, offsets + 1] = second
+
+
+def _big_endian(values, nbytes):
+    """``(n, nbytes)`` uint8 big-endian encodings of ``values``."""
+    encoded = np.asarray(values).astype(">u%d" % nbytes)
+    return encoded.view(np.uint8).reshape(-1, nbytes)
+
+
+def _word_sums(rows):
+    """Unfolded big-endian 16-bit word sum of each even-width row."""
+    return rows.view(">u2").sum(axis=1, dtype=np.int64)
+
+
+def _solve_sums(partial_sums, field_offsets):
+    """Vectorized :func:`~repro.protocols.tcp.solve_sum_to_target`.
+
+    The field value making each ones-complement region fold to
+    0xFFFF; a field at an odd offset contributes byte-swapped.
+    """
+    needed = fold_carries(0xFFFF + (fold_carries(partial_sums) ^ 0xFFFF))
+    return np.where(np.asarray(field_offsets) % 2, swap16(needed), needed)

@@ -28,6 +28,28 @@ class TestOrdering:
         assert q.pop().kind == "x"
         assert q.pop().kind == "y"
 
+    def test_same_tick_pops_in_schedule_order_without_comparing_payloads(self):
+        # Enough same-tick events, interleaved with other ticks, that
+        # the heap compares entries many times; any comparison reaching
+        # a payload (or the event holding it) raises.
+        class Incomparable:
+            def __eq__(self, other):
+                raise AssertionError("payload compared")
+
+            __lt__ = __le__ = __gt__ = __ge__ = __ne__ = __eq__
+            __hash__ = None
+
+        q = EventQueue()
+        order = []
+        for index in range(60):
+            time = 5.0 if index % 3 else float(index % 5)
+            seq = q.push(time, "tick", Incomparable(), index)
+            order.append((time, seq, index))
+        popped = [q.pop() for _ in range(len(order))]
+        assert [(e.time, e.seq, e.payload[1]) for e in popped] == sorted(order)
+        same_tick = [e.payload[1] for e in popped if e.time == 5.0]
+        assert same_tick == [i for i in range(60) if i % 3]
+
     def test_peek_and_len(self):
         q = EventQueue()
         assert q.peek_time() is None

@@ -1,6 +1,13 @@
 """REP304: the scalar-hot-loop rule."""
 
+from pathlib import Path
+
+import pytest
+
+from repro.lint.engine import run_lint
 from tests.lint.conftest import active_rules
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 class TestScalarHotLoop:
@@ -117,3 +124,42 @@ class TestScalarHotLoop:
         }, rules=["REP304"])
         assert result.active == []
         assert result.suppressed == 1
+
+
+class TestSenderIsBatchHot:
+    """The sender frames and packetizes whole files; keep it that way."""
+
+    def test_per_packet_framing_loop_is_flagged(self, lint):
+        result = lint({
+            "repro/protocols/ftpsim.py": """
+                from repro.protocols.aal5 import build_aal5_frame
+
+                def transfer(packets):
+                    units = []
+                    for packet in packets:
+                        units.append(build_aal5_frame(packet.ip_packet))
+                    return units
+            """,
+        }, rules=["REP304"])
+        assert active_rules(result) == ["REP304"]
+        assert "build_aal5_frame" in result.active[0].message
+
+    @pytest.mark.parametrize("module", ["packetizer", "aal5"])
+    def test_per_packet_build_loop_is_flagged(self, lint, module):
+        result = lint({
+            "repro/protocols/%s.py" % module: """
+                def packetize(self, chunks):
+                    packets = []
+                    for chunk in chunks:
+                        packets.append(self.build_packet(chunk))
+                    return packets
+            """,
+        }, rules=["REP304"])
+        assert active_rules(result) == ["REP304"]
+
+    def test_sender_sources_pass_without_pragmas(self):
+        assert run_lint([SRC], rules=["REP304"]).active == []
+        for name in ("ftpsim", "packetizer", "aal5"):
+            source = (SRC / "repro" / "protocols" / (name + ".py")).read_text(
+                encoding="utf-8")
+            assert "reprolint:" not in source, name
